@@ -1,16 +1,14 @@
-"""Fused in-place trigger path vs the interpreter / generic codegen.
+"""Fused in-place trigger path vs the interpreter.
 
-The PR-4 claim: steady-state maintenance cost should be FLOPs, not
-Python dispatch and allocator churn.  Three session scenarios (the same
+The claim: steady-state maintenance cost should be FLOPs, not Python
+dispatch and allocator churn.  Three session scenarios (the same
 regimes ``bench_planner_auto.py`` grids over) are driven with identical
-update streams under three trigger execution paths:
+update streams under two trigger execution paths:
 
-* **interpret** — the AST executor (the PR 3 default baseline);
-* **codegen** — generic generated Python, backend-dispatched kernels,
-  copy-on-write applies (the PR 3 ``mode="codegen"`` path);
-* **fused** — the specialized in-place path (``mode="codegen"`` default
-  since this PR): preallocated workspace buffers, ``out=`` kernels,
-  views repaired in place.
+* **interpret** — the AST executor;
+* **fused** — ``mode="codegen"``: the specialized in-place path with
+  preallocated workspace buffers, ``out=`` kernels, views repaired in
+  place.
 
 Two metrics per path:
 
@@ -25,7 +23,7 @@ Acceptance (checked by the script exit code and the pytest entry):
 * fused >= 2x faster than the interpreter on the dense-small scenario;
 * zero steady-state workspace allocations and ~zero net traced bytes
   for dense fused sessions;
-* parity: all three paths end bit-identical (dense) / close (sparse).
+* parity: both paths end bit-identical (dense) / close (sparse).
 
 Run as a script (or ``--smoke`` in CI)::
 
@@ -133,14 +131,13 @@ def bench_scenario(
     repeats: int = 3,
     alloc_window: int = 100,
 ) -> dict:
-    """Per-update seconds for interpret/codegen/fused + fused allocations."""
+    """Per-update seconds for interpret/fused + fused allocations."""
     from repro.runtime.session import IVMSession
 
     program = _program(source)
     configs = (
         ("interpret", {"mode": "interpret"}),
-        ("codegen", {"mode": "codegen", "fused": False}),
-        ("fused", {"mode": "codegen", "fused": True}),
+        ("fused", {"mode": "codegen"}),
     )
     seconds = {name: float("inf") for name, _ in configs}
     outputs = {}
@@ -155,10 +152,7 @@ def bench_scenario(
                                 _drive_seconds(session, updates))
             outputs[name] = np.array(session.output())
 
-    drift = max(
-        float(np.max(np.abs(outputs["fused"] - outputs[name])))
-        for name in ("interpret", "codegen")
-    )
+    drift = float(np.max(np.abs(outputs["fused"] - outputs["interpret"])))
     scale = max(1.0, float(np.max(np.abs(outputs["interpret"]))))
     if drift / scale > 1e-8:
         raise AssertionError(f"{label}: paths diverged (drift={drift})")
@@ -178,8 +172,6 @@ def bench_scenario(
         "seconds_per_update": per_update,
         "speedup_fused_vs_interpret":
             per_update["interpret"] / per_update["fused"],
-        "speedup_fused_vs_codegen":
-            per_update["codegen"] / per_update["fused"],
         "steady_state": allocations,
         "max_abs_drift": drift,
     }
@@ -232,8 +224,7 @@ def report(results: dict) -> None:
                                 key=lambda kv: kv[1]):
             print(f"  {name:<10} {sec * 1e6:10.1f} us/update")
         print(f"  -> fused {scenario['speedup_fused_vs_interpret']:.2f}x vs "
-              f"interpret, {scenario['speedup_fused_vs_codegen']:.2f}x vs "
-              f"generic codegen")
+              f"interpret")
         steady = scenario["steady_state"]
         print(f"  -> steady state: {steady['net_bytes_per_update']:.0f} "
               f"B/update net, workspace allocations "

@@ -3,13 +3,13 @@
 :mod:`.python_gen` lowers a trigger to *generic* Python: every kernel
 allocates its result, every call re-dispatches through the backend, and
 shapes are rediscovered per call.  That is the right artifact for
-humans and for symbolic dimensions — and the wrong one for the steady
-state, where a session fires the same trigger millions of times over
-matrices whose shapes never change.  This module is the second, hotter
-lowering: given a trigger, a **bound** ``dims`` mapping and a backend,
-:func:`generate_fused_trigger` resolves every expression node's shape
-to concrete integers at *compile* time and emits a flat function whose
-temporaries are **preallocated buffers** leased once from a
+humans and for triggers with no in-place lowering — and the wrong one
+for the steady state, where a session fires the same trigger millions
+of times over matrices whose shapes never change.  This module is the
+second, hotter lowering: given a trigger, a **bound** ``dims`` mapping
+and a backend, :func:`generate_fused_trigger` resolves every expression
+node's shape at *compile* time and emits a flat function whose
+temporaries are **preallocated buffers** leased from a
 :class:`~repro.runtime.workspace.Workspace`:
 
 * every product/sum/scale runs through the backend's ``*_into``
@@ -19,7 +19,7 @@ temporaries are **preallocated buffers** leased once from a
   (``add_into(acc, t, acc)``);
 * transposes of views and params are hoisted to one locals-binding at
   function top instead of being re-derived inside every expression;
-* identity/zero leaves are materialized once at compile time;
+* identity/zero leaves are materialized once, not per firing;
 * update statements apply through :meth:`add_outer_inplace
   <repro.backends.base.Backend.add_outer_inplace>` — views mutate in
   place (dense) instead of being copied per firing.  All delta
@@ -27,27 +27,41 @@ temporaries are **preallocated buffers** leased once from a
   trigger contract (deltas read only old values) survives the loss of
   copy-on-write.
 
-After one warm-up firing the function performs **zero heap
+**Rank polymorphism.**  A trigger compiled at a *symbolic* update rank
+(``compile_program(program, rank=UPDATE_RANK)``) yields buffer shapes
+that are functions of the update width ``r``.  The callable
+:func:`compile_fused_trigger` returns accepts any ``r``: its buffers
+are leased once at the widest rank seen so far (``fn.__capacity__``),
+re-leased once when a wider update arrives (the outgrown set goes back
+to the allocator), and each width runs on C-contiguous ``(rows, cols)``
+views of those buffers bound once per width — so rank-1 streams,
+batched rank-``k`` flushes and heavy-light rank-``r`` folds all share
+one in-place path, and memory follows the widest rank, not the sum.
+A trigger compiled at a concrete rank accepts exactly that width.
+
+After one warm-up firing per width the function performs **zero heap
 allocation** on the dense backend (``tracemalloc``-verified in
 ``benchmarks/bench_fused_hotpath.py``); sparse state falls back to
 allocation exactly where CSR structure forbids in-place writes.
 
 Triggers containing nodes without an in-place lowering (``Inverse``),
 or whose dimensions cannot be resolved from ``dims``, raise
-:class:`FusedUnsupported` — callers (``IVMSession``) fall back to the
-generic :func:`~.python_gen.compile_trigger_function` path.
+:class:`FusedUnsupported` — callers (``IVMSession``) compile those
+once into the generic :func:`~.python_gen.compile_trigger_function`
+form instead.
 
 Generated signature matches the generic path::
 
     def on_update_A(views, u_A, v_A, dims=None): ...
 
-with ``fn.__source__`` (the emitted text), ``fn.__rank__`` (the update
-width the buffers were sized for — off-width updates must take the
-generic path) and ``fn.__workspace__`` attached.
+with ``fn.__source__`` (the emitted text), ``fn.__capacity__`` (the
+update width the buffers are currently sized for) and
+``fn.__workspace__`` attached.
 """
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,9 +78,15 @@ from ...expr.ast import (
     VStack,
     ZeroMatrix,
 )
+from ...expr.shapes import DimLike, NamedDim
 from ...expr.visitors import walk
 from ..trigger import Trigger
 from .python_gen import _referenced_views, outer_operands
+
+
+#: The symbolic update width fused triggers are compiled at: every
+#: buffer shape becomes a function of the width bound per call.
+UPDATE_RANK = NamedDim("update_rank")
 
 
 class FusedUnsupported(TypeError):
@@ -101,25 +121,35 @@ def _copy_into(out: np.ndarray, src) -> np.ndarray:
     return src.copy()  # sparse fallback: buffers cannot hold CSR
 
 
+def _free_rank(trigger: Trigger, dims: Mapping[str, int]) -> str | None:
+    """Name of the trigger's update-width dim when ``dims`` leaves it free."""
+    name = getattr(trigger.params[0].shape.cols, "name", None)
+    return name if name is not None and name not in dims else None
+
+
 class _Emitter:
-    """Accumulates generated lines, buffer specs and compile-time consts."""
+    """Accumulates generated lines, buffer specs and constant specs."""
 
     def __init__(self, dims: Mapping[str, int]):
+        #: Bindings every shape must resolve against (validation only:
+        #: specs keep their symbolic dims, resolved per update width).
         self.dims = dims
         self.lines: list[str] = []
-        #: name -> (rows, cols) of every workspace buffer, in lease order.
-        self.buffers: list[tuple[str, int, int]] = []
-        #: name -> zero-arg factory run once at compile time.
-        self.constants: dict[str, Callable] = {}
+        #: ``(name, rows, cols)`` of every workspace buffer, lease order.
+        self.buffers: list[tuple[str, DimLike, DimLike]] = []
+        #: name -> ``("eye", n)`` / ``("zeros", rows, cols)`` spec.
+        self.constants: dict[str, tuple] = {}
         self._locals = 0
 
-    def shape(self, expr: Expr) -> tuple[int, int]:
-        return (_resolve(expr.shape.rows, self.dims),
-                _resolve(expr.shape.cols, self.dims))
+    def shape(self, expr: Expr) -> tuple[DimLike, DimLike]:
+        rows, cols = expr.shape.rows, expr.shape.cols
+        _resolve(rows, self.dims)
+        _resolve(cols, self.dims)
+        return rows, cols
 
-    def buffer(self, rows: int, cols: int) -> str:
+    def buffer(self, rows: DimLike, cols: DimLike) -> str:
         name = f"_b{len(self.buffers)}"
-        self.buffers.append((name, int(rows), int(cols)))
+        self.buffers.append((name, rows, cols))
         return name
 
     def local(self) -> str:
@@ -129,9 +159,9 @@ class _Emitter:
     def emit(self, line: str) -> None:
         self.lines.append(f"    {line}")
 
-    def constant(self, factory: Callable) -> str:
+    def constant(self, spec: tuple) -> str:
         name = f"_c{len(self.constants)}"
-        self.constants[name] = factory
+        self.constants[name] = spec
         return name
 
 
@@ -155,10 +185,9 @@ def _emit_expr(em: _Emitter, expr: Expr, transposed_views: Mapping[str, str]):
         return f"{frag}.T", None
     if isinstance(expr, Identity):
         rows, _ = em.shape(expr)
-        return em.constant(lambda n=rows: ("eye", n)), None
+        return em.constant(("eye", rows)), None
     if isinstance(expr, ZeroMatrix):
-        rows, cols = em.shape(expr)
-        return em.constant(lambda r=rows, c=cols: ("zeros", r, c)), None
+        return em.constant(("zeros", *em.shape(expr))), None
     if isinstance(expr, MatMul):
         frag, _ = _emit_expr(em, expr.children[0], transposed_views)
         rows = em.shape(expr.children[0])[0]
@@ -230,17 +259,20 @@ def generate_fused_trigger(
     trigger: Trigger,
     dims: Mapping[str, int],
     function_name: str | None = None,
-) -> tuple[str, list[tuple[str, int, int]], dict[str, Callable]]:
-    """Fused source plus its buffer plan and compile-time constants.
+) -> tuple[str, list[tuple[str, DimLike, DimLike]], dict[str, tuple]]:
+    """Fused source plus its buffer plan and constant specs.
 
     Returns ``(source, buffers, constants)``: ``buffers`` lists the
     ``(name, rows, cols)`` scratch buffers the function expects bound in
     its globals (lease them from a workspace, in order), ``constants``
-    maps names to ``("eye", n)`` / ``("zeros", r, c)`` factory specs.
+    maps names to ``("eye", n)`` / ``("zeros", rows, cols)`` specs.
+    Dimensions stay symbolic: resolve them against ``dims`` plus, for a
+    trigger whose update width ``dims`` leaves free, that width.
     """
     name = function_name or f"on_update_{trigger.input_name}"
     params = ", ".join(p.name for p in trigger.params)
-    em = _Emitter(dims)
+    free = _free_rank(trigger, dims)
+    em = _Emitter({**dims, free: 1} if free else dims)
     views = _referenced_views(trigger)
 
     # Bind every referenced view to a local before anything runs; hoist
@@ -304,11 +336,15 @@ def compile_fused_trigger(
     """Compile the fused form of ``trigger`` against concrete ``dims``.
 
     Scratch buffers are leased from ``workspace`` (one is created when
-    ``None``) at *compile* time, in a fresh top-level lease scope —
-    triggers compiled against the same workspace share buffers by
-    shape, which is safe because trigger firings never interleave.
-    Raises :class:`FusedUnsupported` when the trigger contains a node
-    with no in-place lowering or a dimension ``dims`` does not bind.
+    ``None``) at compile time — at width 1 when the trigger's update
+    width is symbolic and unbound by ``dims``, else at its fixed width
+    — and re-leased once per capacity growth, each time in a fresh
+    top-level lease scope: triggers compiled against the same workspace
+    share buffers by shape, which is safe because trigger firings never
+    interleave.  Raises :class:`FusedUnsupported` when the trigger
+    contains a node with no in-place lowering or a dimension ``dims``
+    does not bind; calling a fixed-width trigger at another width
+    raises ``ValueError``.
     """
     from ...backends import get_backend
     from ...runtime.workspace import Workspace
@@ -316,8 +352,10 @@ def compile_fused_trigger(
     be = get_backend(backend)
     source, buffers, constants = generate_fused_trigger(trigger, dims)
     ws = workspace if workspace is not None else Workspace()
+    free = _free_rank(trigger, dims)
+    fixed = None if free else _resolve(trigger.params[0].shape.cols, dims)
 
-    namespace: dict[str, object] = {
+    kernels: dict[str, object] = {
         "np": np,
         "_mm": be.matmul_into,
         "_add": be.add_into,
@@ -329,29 +367,72 @@ def compile_fused_trigger(
         "_applyadd": be.add_inplace,
         "_copy": _copy_into,
     }
-    ws.begin()
-    for buf_name, rows, cols in buffers:
-        namespace[buf_name] = ws.lease(rows, cols)
-    for const_name, factory in constants.items():
-        spec = factory()
-        if spec[0] == "eye":
-            namespace[const_name] = be.eye(spec[1])
-        else:
-            namespace[const_name] = be.zeros(spec[1], spec[2])
-
+    namespace: dict[str, object] = {}
     exec(compile(source, f"<fused-trigger:{trigger.input_name}>", "exec"),
          namespace)
-    fn = namespace[f"on_update_{trigger.input_name}"]
-    fn.__source__ = source  # type: ignore[attr-defined]
-    fn.__rank__ = _resolve(  # type: ignore[attr-defined]
-        trigger.params[0].shape.cols, dims
-    )
-    fn.__workspace__ = ws  # type: ignore[attr-defined]
-    return fn
+    template = namespace[f"on_update_{trigger.input_name}"]
+
+    leased: list[np.ndarray] = []
+    by_width: dict[int, Callable] = {}
+    made: dict[tuple, object] = {}  # constants, shared across widths
+
+    def bound(width: int) -> Mapping[str, int]:
+        return {**dims, free: width} if free else dims
+
+    def grow(width: int) -> None:
+        # Lease the whole plan at the new width, then hand the outgrown
+        # set back, so the arena holds the widest buffers only.
+        nonlocal leased
+        at = bound(width)
+        ws.begin()
+        fresh = [ws.lease(_resolve(rows, at), _resolve(cols, at))
+                 for _, rows, cols in buffers]
+        kept = {id(buf) for buf in fresh}
+        ws.release([buf for buf in leased if id(buf) not in kept])
+        leased = fresh
+        by_width.clear()
+        on_update.__capacity__ = width  # type: ignore[attr-defined]
+
+    def specialize(width: int) -> Callable:
+        if fixed is not None and width != fixed:
+            raise ValueError(
+                f"trigger for {trigger.input_name!r} was compiled for "
+                f"rank-{fixed} updates, got rank {width}"
+            )
+        if width > on_update.__capacity__:  # type: ignore[attr-defined]
+            grow(width)
+        at = bound(width)
+        scope = dict(kernels)
+        for (buf_name, rows, cols), buf in zip(buffers, leased):
+            rows, cols = _resolve(rows, at), _resolve(cols, at)
+            scope[buf_name] = buf.reshape(-1)[: rows * cols].reshape(rows, cols)
+        for const_name, (kind, *shape) in constants.items():
+            key = (kind, *(_resolve(d, at) for d in shape))
+            if key not in made:
+                made[key] = be.eye(*key[1:]) if kind == "eye" else be.zeros(*key[1:])
+            scope[const_name] = made[key]
+        fn = by_width[width] = FunctionType(
+            template.__code__, scope, template.__name__,
+            template.__defaults__,
+        )
+        return fn
+
+    def on_update(views, u, v, dims=None):
+        fn = by_width.get(u.shape[1])
+        if fn is None:
+            fn = specialize(u.shape[1])
+        return fn(views, u, v, dims)
+
+    on_update.__source__ = source  # type: ignore[attr-defined]
+    on_update.__workspace__ = ws  # type: ignore[attr-defined]
+    on_update.__capacity__ = 0  # type: ignore[attr-defined]
+    grow(fixed if fixed is not None else 1)
+    return on_update
 
 
 __all__ = [
     "FusedUnsupported",
+    "UPDATE_RANK",
     "compile_fused_trigger",
     "generate_fused_trigger",
 ]

@@ -24,7 +24,7 @@ Generated signature::
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -252,11 +252,7 @@ def generate_python_trigger(
     return "\n".join(lines) + "\n"
 
 
-def compile_trigger_function(
-    trigger: Trigger,
-    extra_globals: Mapping[str, object] | None = None,
-    backend=None,
-) -> Callable:
+def compile_trigger_function(trigger: Trigger, backend=None) -> Callable:
     """Generate, ``exec`` and return the trigger as a Python callable.
 
     With ``backend`` set (a name or instance), the generated source
@@ -270,8 +266,6 @@ def compile_trigger_function(
         from ...backends import get_backend
 
         namespace["be"] = get_backend(backend)
-    if extra_globals:
-        namespace.update(extra_globals)
     exec(compile(source, f"<trigger:{trigger.input_name}>", "exec"), namespace)
     fn = namespace[f"on_update_{trigger.input_name}"]
     fn.__source__ = source  # type: ignore[attr-defined]

@@ -34,13 +34,15 @@ for maintenance sessions:
   order).
 
 Checkpoints capture everything value-affecting: view arrays, plan,
-``rank``/``optimize``/``fused`` trigger-compilation knobs (the fused
-``__rank__`` routing changes summation order), batch policy, and the
-heavy-light maintainer's surviving cross-flush state (occupancy sketch,
-heavy-set membership, retune phase).  They deliberately do *not*
-capture the program — programs are code; :func:`restore_session` takes
-the same :class:`~repro.compiler.program.Program` the original session
-was opened with.  Sharded (``nodes > 1``) sessions checkpoint their
+``rank``/``optimize`` trigger-compilation knobs (the optimizer changes
+association order), batch policy, and the heavy-light maintainer's
+surviving cross-flush state (occupancy sketch, heavy-set membership,
+retune phase).  They deliberately do *not* capture the program —
+programs are code; :func:`restore_session` takes the same
+:class:`~repro.compiler.program.Program` the original session was
+opened with.  Older snapshots may carry a ``fused`` header key from
+when codegen sessions had a switchable trigger path; restore accepts
+and ignores it.  Sharded (``nodes > 1``) sessions checkpoint their
 shared-memory views the same way and restore single-process; cluster
 recovery is the supervisor's job (:mod:`repro.distributed.workers`).
 """
@@ -267,16 +269,12 @@ def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
     """
     views = session.views
     arrays = {name: views.get_dense(name) for name in views.names()}
-    fused = True
-    if getattr(session, "mode", "interpret") == "codegen":
-        fused = getattr(session, "workspace", None) is not None
     header: dict = {
         "strategy": session.strategy,
         "mode": getattr(session, "mode", "interpret"),
         "backend": session.backend.name,
         "rank": int(rank),
         "optimize": bool(optimize),
-        "fused": bool(fused),
         "update_count": int(session.update_count),
         "dims": dict(views.dims),
         "batch": {
@@ -347,7 +345,7 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
             program, store, rank=int(header.get("rank", 1)),
             optimize=bool(header.get("optimize", False)),
             mode=header.get("mode", "interpret"), counter=counter,
-            backend=backend, fused=bool(header.get("fused", True)),
+            backend=backend,
         )
     else:
         raise CheckpointError(

@@ -458,9 +458,10 @@ class ViewServer:
         :meth:`call` tasks, shutdown — are never refused.
 
     If the served session has an attached
-    :class:`~repro.runtime.checkpoint.Checkpointer`, the writer thread
-    additionally cuts any *due* snapshot right after each epoch
-    publication — durability rides the epoch cadence, on the writer
+    :class:`~repro.runtime.checkpoint.Checkpointer`, the server switches
+    it to epoch-driven mode (``auto=False``): the writer thread cuts any
+    *due* snapshot right after each epoch publication instead of inside
+    an update — durability rides the epoch cadence, on the writer
     thread, so readers never block on a checkpoint write.
 
     Use as a context manager, or call :meth:`close` — shutdown drains
@@ -482,6 +483,11 @@ class ViewServer:
         if max_age is not None and max_age <= 0:
             raise ValueError("max_age must be positive (or None)")
         self._engine = _as_engine(target, views)
+        checkpointer = self._engine.checkpointer()
+        if checkpointer is not None:
+            # Epoch-driven from now on: cuts land after publish, never
+            # inside an update (the delta_limit backstop still holds).
+            checkpointer.auto = False
         self.max_staleness = max_staleness
         self.max_age = max_age
         self._queue = _IngressQueue(max_queue, overload)

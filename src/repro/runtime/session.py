@@ -22,20 +22,22 @@ Two execution modes are supported for triggers:
 * ``mode="interpret"`` — delta expressions are evaluated by the AST
   executor (FLOP-counted, the default);
 * ``mode="codegen"`` — triggers are lowered to Python/NumPy source and
-  ``exec``-compiled once (the paper's generated-code path).  By default
-  codegen sessions additionally *specialize* each trigger against the
-  session's concrete dimensions and backend
-  (:mod:`repro.compiler.codegen.fused`): the specialized function runs
-  every kernel through the backend's ``*_into`` forms into buffers
-  preallocated in a session :class:`~repro.runtime.workspace.Workspace`
-  and repairs views **in place**, so a warmed-up dense session performs
-  zero heap allocation per update.  Updates whose rank differs from the
-  compiled width, and triggers containing nodes without an in-place
-  lowering, transparently fall back to the generic generated code;
-  ``fused=False`` (or ``mode="interpret"``) disables specialization
-  outright.  Because views mutate in place on this path, treat matrices
-  returned by ``session[...]``/``session.output()`` as *live* state —
-  copy them if you need a snapshot that survives further updates.
+  ``exec``-compiled once (the paper's generated-code path).  Each
+  trigger is *specialized* against the session's concrete dimensions
+  and backend (:mod:`repro.compiler.codegen.fused`): the specialized
+  function runs every kernel through the backend's ``*_into`` forms
+  into buffers leased from a session
+  :class:`~repro.runtime.workspace.Workspace` and repairs views **in
+  place**, so a warmed-up dense session performs zero heap allocation
+  per update.  The specialization is rank-polymorphic: rank-1 updates,
+  batched rank-``k`` flushes and heavy-light rank-``r`` folds all run
+  it, on buffers sized for the widest rank seen so far.  Only triggers
+  with no in-place lowering (``inv``, dimensions the session cannot
+  bind) compile — once, at construction — to the generic generated
+  code instead.  Because views mutate in place on this path, treat
+  matrices returned by ``session[...]``/``session.output()`` as *live*
+  state — copy them if you need a snapshot that survives further
+  updates.
 
 Sessions also honor the plan's **batch recommendation** (Table 4):
 when ``plan.batch_size > 1``, :func:`open_session` routes
@@ -57,7 +59,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..backends import get_backend
-from ..compiler.codegen.fused import FusedUnsupported, compile_fused_trigger
+from ..compiler.codegen.fused import (
+    UPDATE_RANK,
+    FusedUnsupported,
+    compile_fused_trigger,
+)
 from ..compiler.codegen.python_gen import compile_trigger_function, outer_operands
 from ..compiler.compile import compile_program
 from ..compiler.optimizer import optimize_trigger
@@ -541,6 +547,16 @@ class Session:
         return worst
 
 
+def _derive_triggers(program: Program, rank, optimize: bool
+                     ) -> dict[str, Trigger]:
+    """Algorithm 1 at update width ``rank``, optionally optimized."""
+    triggers = compile_program(program, rank=rank)
+    if optimize:
+        triggers = {name: optimize_trigger(trigger)
+                    for name, trigger in triggers.items()}
+    return triggers
+
+
 class IVMSession(Session):
     """Incrementally maintained program state (the INCR strategy).
 
@@ -548,17 +564,12 @@ class IVMSession(Session):
 
     rank:
         Expected width of incoming factored updates.  Updates of any
-        width are accepted in ``interpret`` mode at their true cost; in
-        ``codegen`` mode the generated function is width-agnostic too
-        (widths only appear as array shapes).
+        width are accepted in either mode at their true cost (widths
+        only appear as array shapes).
     optimize:
         Run the Section 6 optimizer pipeline over each trigger.
     mode:
         ``"interpret"`` or ``"codegen"`` (see module docstring).
-    fused:
-        In ``codegen`` mode, specialize each trigger into the fused
-        in-place form (the default fast path; see module docstring).
-        ``False`` keeps the generic generated code only.
     """
 
     strategy = "INCR"
@@ -573,37 +584,33 @@ class IVMSession(Session):
         mode: str = "interpret",
         counter: counters.Counter = counters.NULL_COUNTER,
         backend=None,
-        fused: bool = True,
     ):
         if mode not in ("interpret", "codegen"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         super().__init__(program, inputs, dims, counter, backend)
 
-        self.triggers: dict[str, Trigger] = compile_program(program, rank=rank)
-        if optimize:
-            self.triggers = {
-                name: optimize_trigger(trigger)
-                for name, trigger in self.triggers.items()
-            }
+        self.triggers: dict[str, Trigger] = _derive_triggers(
+            program, rank, optimize)
+        #: One compiled callable per trigger (codegen mode): the fused
+        #: in-place form, or the generic one where fusion is impossible.
         self._compiled: dict[str, Callable] = {}
-        self._fused: dict[str, Callable] = {}
         self.workspace: Workspace | None = None
         if mode == "codegen":
-            self._compiled = {
-                name: compile_trigger_function(trigger, backend=self.backend)
-                for name, trigger in self.triggers.items()
-            }
-            if fused:
-                self._compile_fused()
+            self._compile_codegen(
+                _derive_triggers(program, UPDATE_RANK, optimize))
 
-    def _compile_fused(self) -> None:
-        """Specialize triggers against concrete dims into the fused form.
+    def _compile_codegen(self, polymorphic: Mapping[str, Trigger]) -> None:
+        """Compile each trigger once into the callable every update runs.
 
+        Fused forms come from the ``polymorphic`` triggers, derived at
+        the symbolic update rank, so one callable serves every update
+        width; the derivation is structural, so they evaluate the same
+        expressions in the same association order as :attr:`triggers`.
         Triggers the specializer cannot lower (symbolic dims it cannot
-        bind, nodes without an in-place kernel) silently keep only their
-        generic compiled form — the interpreter contract is never at
-        risk, only the allocation profile.
+        bind, nodes without an in-place kernel) compile to the generic
+        form — the interpreter contract is never at risk, only the
+        allocation profile.
         """
         dims = self._bound_dims()
         self.workspace = Workspace()
@@ -611,13 +618,14 @@ class IVMSession(Session):
         for name, trigger in self.triggers.items():
             try:
                 fn = compile_fused_trigger(
-                    trigger, dims, backend=self.backend,
+                    polymorphic[name], dims, backend=self.backend,
                     workspace=self.workspace,
                 )
             except FusedUnsupported:
-                continue
-            self._fused[name] = fn
-            mutated.update(trigger.updated_views)
+                fn = compile_trigger_function(trigger, backend=self.backend)
+            else:
+                mutated.update(trigger.updated_views)
+            self._compiled[name] = fn
         # The fused path mutates views in place, so every view it will
         # touch must be session-owned (callers may have handed us their
         # arrays — including CSR objects ViewStore stores by
@@ -656,13 +664,10 @@ class IVMSession(Session):
         if trigger is None:
             raise KeyError(f"no trigger compiled for input {update.target!r}")
         if self.mode == "codegen":
-            fn = self._fused.get(update.target)
-            if fn is None or update.u_block.shape[1] != fn.__rank__:
-                # Off-width updates (and unspecializable triggers) take
-                # the generic generated path — correct at any rank.
-                fn = self._compiled[update.target]
-            fn(self.views._arrays, update.u_block, update.v_block,
-               dims=self.views.dims)
+            self._compiled[update.target](
+                self.views._arrays, update.u_block, update.v_block,
+                dims=self.views.dims,
+            )
         else:
             self._interpret(trigger, update)
 

@@ -125,6 +125,23 @@ class Workspace:
         rows, cols = template.shape
         return self.lease(rows, cols, template.dtype)
 
+    def release(self, buffers) -> None:
+        """Drop ``buffers`` from this thread's pools for good.
+
+        For a lessee that outgrew its shapes (a fused trigger re-leased
+        at a wider update rank): the arena stops holding them, so they
+        are freed once their last holder lets go instead of pinning
+        memory for shapes nobody leases again.  Buffers this thread
+        never leased are ignored.
+        """
+        arena = self._arena()
+        drop = {id(buf) for buf in buffers}
+        for key, pool in arena.pools.items():
+            kept = [buf for buf in pool if id(buf) not in drop]
+            if len(kept) != len(pool):
+                arena.pools[key] = kept
+                arena.cursors[key] = min(arena.cursors[key], len(kept))
+
     # -- frames ----------------------------------------------------------
     @contextmanager
     def frame(self):

@@ -21,6 +21,7 @@ from repro.runtime.checkpoint import (
     CheckpointError,
     CheckpointManager,
     Checkpointer,
+    capture_session,
     deserialize_state,
     load_checkpoint,
     restore_session,
@@ -196,6 +197,29 @@ class TestRoundTrip:
         assert cold.update_count == 12
         for name in want:
             assert np.array_equal(want[name], np.asarray(cold[name])), name
+
+    def test_restores_snapshot_with_legacy_fused_key(self, tmp_path):
+        # Older codegen snapshots record a "fused" flag in the header;
+        # every codegen session now runs one trigger path, so restore
+        # accepts the key and ignores it.
+        prog = gram_chain()
+        session = open_session(prog, {"A": operator()}, plan="incr",
+                               mode="codegen")
+        for update in stream(5, rank=2):
+            session.apply_update(update)
+        session.flush()
+        header, arrays = capture_session(session)
+        header["fused"] = False
+        CheckpointManager(tmp_path).save(header, arrays)
+        cold = restore_session(prog, tmp_path)
+        assert cold.mode == "codegen"
+        assert cold.update_count == 5
+        for update in stream(3, seed=5, rank=4):
+            session.apply_update(update)
+            cold.apply_update(update)
+        for name in ("V", "W"):
+            assert np.array_equal(np.asarray(session[name]),
+                                  np.asarray(cold[name])), name
 
     def test_restore_true_without_snapshot_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no valid checkpoint"):

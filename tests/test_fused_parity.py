@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from exprgen import ExprPool, shaped_expr
 from repro.compiler import Program, Statement, compile_program
 from repro.compiler.codegen.fused import (
+    UPDATE_RANK,
     FusedUnsupported,
     compile_fused_trigger,
     generate_fused_trigger,
@@ -25,6 +26,9 @@ from repro.runtime import FactoredUpdate
 from repro.runtime.session import IVMSession
 
 SETTINGS = dict(max_examples=40, deadline=None)
+#: Update widths the dense parity property runs at (sessions compile at
+#: rank 1, so every other width is an off-rank update).
+RANKS = (1, 2, 4, 16, 32)
 
 
 def _sessions(program, inputs, dims=None, backend=None, rank=1):
@@ -34,6 +38,11 @@ def _sessions(program, inputs, dims=None, backend=None, rank=1):
         dims=dims, backend=backend, rank=rank, **kw,
     )
     return make(mode="interpret"), make(mode="codegen")
+
+
+def _is_fused(session, name):
+    """Whether ``session`` runs ``name``'s trigger in the fused form."""
+    return hasattr(session._compiled[name], "__capacity__")
 
 
 def _drive_both(interp, fused, updates):
@@ -59,20 +68,20 @@ class TestGeneratedProgramParity:
 
         upd_sym = inputs_syms[0]
         rng = np.random.default_rng(seed + 1)
-        updates = [
-            FactoredUpdate(
-                upd_sym.name,
-                rng.normal(size=(upd_sym.shape.rows, 1)),
-                rng.normal(size=(upd_sym.shape.cols, 1)),
-            )
-            for _ in range(4)
-        ]
-
-        interp, fused = _sessions(program, env)
-        assert fused._fused, "fused specialization did not compile"
-        _drive_both(interp, fused, updates)
-        for name in list(env) + ["V_out"]:
-            assert np.array_equal(interp[name], fused[name]), name
+        for rank in RANKS:
+            updates = [
+                FactoredUpdate(
+                    upd_sym.name,
+                    rng.normal(size=(upd_sym.shape.rows, rank)),
+                    rng.normal(size=(upd_sym.shape.cols, rank)),
+                )
+                for _ in range(4)
+            ]
+            interp, fused = _sessions(program, env)
+            assert _is_fused(fused, upd_sym.name), "fused form did not compile"
+            _drive_both(interp, fused, updates)
+            for name in list(env) + ["V_out"]:
+                assert np.array_equal(interp[name], fused[name]), (name, rank)
 
     @settings(**SETTINGS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -139,17 +148,53 @@ class TestFallbacks:
              Statement(c_sym, matmul(b_sym, b_sym))],
         )
 
-    def test_off_rank_updates_take_generic_path(self, rng):
-        n = 8
+    def test_off_rank_updates_stay_fused(self, rng, monkeypatch):
+        import repro.runtime.session as session_module
+
+        def no_generic(*args, **kwargs):
+            raise AssertionError("generic trigger compiler was called")
+
+        monkeypatch.setattr(session_module, "compile_trigger_function",
+                            no_generic)
+        n = 40
         program = self._a4(n)
-        a0 = rng.normal(size=(n, n))
+        a0 = 0.1 * rng.normal(size=(n, n))
         interp, fused = _sessions(program, {"A": a0}, rank=1)
-        assert fused._fused["A"].__rank__ == 1
-        wide = FactoredUpdate("A", rng.normal(size=(n, 2)),
-                              rng.normal(size=(n, 2)))
-        _drive_both(interp, fused, [wide])
-        for name in ("A", "B", "C"):
-            assert np.array_equal(interp[name], fused[name]), name
+        fn = fused._compiled["A"]
+        assert fn.__capacity__ == 1
+        for rank in (1, 8, 3, 32, 1):
+            wide = FactoredUpdate("A", 0.1 * rng.normal(size=(n, rank)),
+                                  0.1 * rng.normal(size=(n, rank)))
+            _drive_both(interp, fused, [wide])
+            for name in ("A", "B", "C"):
+                assert np.array_equal(interp[name], fused[name]), (name, rank)
+        # One callable throughout, sized for the widest rank seen.
+        assert fused._compiled["A"] is fn
+        assert fn.__capacity__ == 32
+
+    def test_capacity_growth_keeps_only_the_widest_buffers(self, rng):
+        from repro.runtime.workspace import Workspace
+
+        n = 16
+        polymorphic = compile_program(self._a4(n), rank=UPDATE_RANK)["A"]
+        grown, direct = Workspace(), Workspace()
+        fn = compile_fused_trigger(polymorphic, {}, workspace=grown)
+        views = {name: rng.normal(size=(n, n)) for name in ("A", "B", "C")}
+        for rank in (2, 5, 9, 3):
+            fn(views, rng.normal(size=(n, rank)), rng.normal(size=(n, rank)))
+        assert fn.__capacity__ == 9
+        widest = compile_fused_trigger(polymorphic, {}, workspace=direct)
+        widest(views, rng.normal(size=(n, 9)), rng.normal(size=(n, 9)))
+        assert grown.nbytes() == direct.nbytes()
+
+    def test_concrete_rank_trigger_rejects_other_widths(self, rng):
+        n = 6
+        trigger = compile_program(self._a4(n), rank=2)["A"]
+        fn = compile_fused_trigger(trigger, {})
+        assert fn.__capacity__ == 2
+        views = {name: rng.normal(size=(n, n)) for name in ("A", "B", "C")}
+        with pytest.raises(ValueError, match="rank-2"):
+            fn(views, rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
 
     def test_inverse_trigger_falls_back_cleanly(self, rng):
         """A trigger the specializer cannot lower keeps the generic path."""

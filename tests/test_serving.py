@@ -575,18 +575,26 @@ class TestEpochCheckpointing:
 
         program, n, inputs = _fixed_scenario(rng)
         updates = zipf_row_updates(rng, n, 40, 0.0)
-        server = open_session(
-            program, inputs, serve={"max_staleness": 4},
-            checkpoint={"directory": tmp_path, "every": 4, "auto": False})
-        for update in updates:
-            server.submit(update)
-        server.close()
-        assert server.stats.checkpoints >= 5
-        # The directory restores to a flushed-epoch state a fresh
-        # process can serve from.
-        restored = restore_session(program, tmp_path)
-        assert restored.update_count > 0
-        assert restored.update_count % 4 == 0
+        # With or without an explicit auto=False, a served checkpointer
+        # is epoch-driven: every cut is one the writer made at publish.
+        for name, options in (("epoch", {"every": 4, "auto": False}),
+                              ("default", {"every": 4})):
+            directory = tmp_path / name
+            server = open_session(
+                program, {k: v.copy() for k, v in inputs.items()},
+                serve={"max_staleness": 4},
+                checkpoint={"directory": directory, **options})
+            checkpointer = server._engine.checkpointer()
+            for update in updates:
+                server.submit(update)
+            server.close()
+            assert server.stats.checkpoints >= 5, name
+            assert server.stats.checkpoints == checkpointer.saves >= 1, name
+            # The directory restores to a flushed-epoch state a fresh
+            # process can serve from.
+            restored = restore_session(program, directory)
+            assert restored.update_count > 0, name
+            assert restored.update_count % 4 == 0, name
 
     def test_unattached_session_cuts_nothing(self, rng):
         program, n, inputs = _fixed_scenario(rng)

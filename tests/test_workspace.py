@@ -40,6 +40,18 @@ class TestWorkspace:
         assert ws.allocations == 2
         assert ws.leases == 4
 
+    def test_release_drops_buffers_from_the_pool(self):
+        ws = Workspace()
+        with ws.frame():
+            first = ws.lease(4, 4)
+            kept = ws.lease(4, 4)
+        ws.release([first])
+        assert ws.buffer_count() == 1
+        with ws.frame():
+            assert ws.lease(4, 4) is kept
+            assert ws.lease(4, 4) is not first
+        assert ws.allocations == 3
+
     def test_nested_frames_do_not_recycle(self):
         ws = Workspace()
         with ws.frame():
@@ -273,15 +285,51 @@ class TestZeroAllocationSteadyState:
         return IVMSession(program, {"A": 0.1 * rng.normal(size=(n, n))},
                           mode="codegen")
 
+    @staticmethod
+    def _configured(session, config):
+        """Apply a deferral ``config`` and return its update stream."""
+        rng = np.random.default_rng(11)
+        n = 48
+        kind, value = config
+        if kind == "rank":
+            return [
+                FactoredUpdate("A", 0.1 * rng.normal(size=(n, value)),
+                               0.01 * rng.normal(size=(n, value)))
+                for _ in range(12)
+            ]
+        if kind == "batch":
+            session.set_batching(value)
+        else:
+            session.set_partition(value, heavy_budget=4, rank_bound=8)
+        updates = _row_updates(rng, n, 160)
+        if kind == "partition":  # skew: a few hot rows carry the stream
+            hot = rng.integers(0, 4, size=len(updates))
+            for update, row in zip(updates[::2], hot[::2]):
+                update.u_block[:] = 0.0
+                update.u_block[row, 0] = 1.0
+        return updates
+
     def test_workspace_stops_allocating_after_warmup(self, rng):
-        session = self._session(rng)
-        updates = _row_updates(rng, 48, 30)
-        session.apply_update(updates[0])  # warm-up firing
-        allocations = session.workspace.allocations
-        assert allocations > 0
-        for update in updates[1:]:
-            session.apply_update(update)
-        assert session.workspace.allocations == allocations
+        # Every update width and deferral fold runs the fused path: after
+        # one warm-up pass of the stream no firing allocates a buffer.
+        configs = [("rank", r) for r in (1, 4, 16, 32)]
+        configs += [("batch", 8), ("partition", "heavy-light")]
+        for config in configs:
+            session = self._session(rng)
+            updates = self._configured(session, config)
+            session.apply_updates(updates)  # warm-up pass
+            session.flush()
+            kind, value = config
+            widest = session._compiled["A"].__capacity__
+            if kind == "rank":
+                assert widest == value, config
+            else:  # deferral folds reach the trigger at rank > 1
+                assert widest > 1, config
+            allocations = session.workspace.allocations
+            assert allocations > 0, config
+            session.apply_updates(updates)
+            session.flush()
+            assert session.workspace.allocations == allocations, config
 
     def test_tracemalloc_measures_zero_steady_state(self, rng):
         session = self._session(rng)
@@ -302,7 +350,14 @@ class TestZeroAllocationSteadyState:
 
     def test_fused_functions_expose_workspace_and_rank(self, rng):
         session = self._session(rng)
-        fn = session._fused["A"]
-        assert fn.__rank__ == 1
+        fn = session._compiled["A"]
+        assert fn.__capacity__ == 1  # buffers leased at width 1 up front
         assert fn.__workspace__ is session.workspace
         assert "def on_update_A" in fn.__source__
+        wide = FactoredUpdate("A", 0.01 * rng.normal(size=(48, 4)),
+                              0.01 * rng.normal(size=(48, 4)))
+        session.apply_update(wide)
+        assert session._compiled["A"] is fn
+        assert fn.__capacity__ == 4  # grown once to the widest rank seen
+        session.apply_update(_row_updates(rng, 48, 1)[0])
+        assert fn.__capacity__ == 4
